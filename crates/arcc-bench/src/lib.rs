@@ -1,24 +1,21 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the ARCC paper.
+//! Shared harness for the experiment and bench binaries of the ARCC
+//! workspace.
 //!
-//! Each binary under `src/bin/` is a thin shim over the in-process
-//! scenario registry in [`arcc_exp`] (`arcc::exp`): it calls
-//! [`arcc_exp::main_for`] with its artefact name, and `repro_all` loops
-//! the whole registry via [`arcc_exp::repro_all_main`], writing JSON
-//! reports under `target/repro/`.
+//! Every table and figure of the paper is reproduced by `repro_all`,
+//! which loops the in-process scenario registry in [`arcc_exp`]
+//! (`arcc::exp`) via [`arcc_exp::repro_all_main`], writing JSON reports
+//! under `target/repro/`; `repro_all <name>` runs a single artefact
+//! (e.g. `repro_all fig7_6`).
 //!
 //! Knobs are typed on [`arcc_exp::Experiment`]; the legacy environment
 //! variables (`ARCC_TRACE_REQUESTS`, `ARCC_MC_CHANNELS`,
 //! `ARCC_MC_MACHINES`) survive as a deprecated fallback through
-//! [`arcc_exp::Experiment::from_env`], which the shims use so existing CI
-//! configurations keep working.
+//! [`arcc_exp::Experiment::from_env`], which `repro_all` uses so existing
+//! CI configurations keep working.
 
 #![forbid(unsafe_code)]
 
-use arcc_core::MixResult;
-use arcc_exp::Experiment;
 use arcc_obs::{elapsed_secs, Clock, WallClock};
-use arcc_trace::{Mix, TraceConfig};
 
 /// Wall-clock seconds spent in `f`, plus its result — the shared
 /// timing primitive behind every bench bin and throughput record,
@@ -48,42 +45,6 @@ pub fn best_of<T>(passes: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         out = value;
     }
     (best, out)
-}
-
-/// Requests per trace simulation (env `ARCC_TRACE_REQUESTS`).
-#[deprecated(note = "use arcc_exp::Experiment::trace_requests / from_env")]
-pub fn trace_requests() -> usize {
-    Experiment::from_env().trace_config().requests
-}
-
-/// Channels for lifetime Monte Carlos (env `ARCC_MC_CHANNELS`).
-#[deprecated(note = "use arcc_exp::Experiment::mc_channels / from_env")]
-pub fn mc_channels() -> u32 {
-    Experiment::from_env().mc_channel_count()
-}
-
-/// Machines for the SDC Monte Carlo (env `ARCC_MC_MACHINES`).
-#[deprecated(note = "use arcc_exp::Experiment::mc_machines / from_env")]
-pub fn mc_machines() -> u32 {
-    Experiment::from_env().mc_machine_count()
-}
-
-/// The deterministic trace configuration shared by all experiments.
-#[deprecated(note = "use arcc_exp::Experiment::trace_config")]
-pub fn trace_config() -> TraceConfig {
-    Experiment::from_env().trace_config()
-}
-
-/// Runs one mix under the SCCDCD baseline.
-#[deprecated(note = "use arcc_exp::Experiment::run_baseline")]
-pub fn run_baseline(mix: &Mix) -> MixResult {
-    Experiment::from_env().run_baseline(mix)
-}
-
-/// Runs one mix under ARCC with the given upgraded-page fraction.
-#[deprecated(note = "use arcc_exp::Experiment::run_arcc")]
-pub fn run_arcc(mix: &Mix, upgraded_fraction: f64) -> MixResult {
-    Experiment::from_env().run_arcc(mix, upgraded_fraction)
 }
 
 /// The throughput-regression gate shared by the `fleet` and `replay`
@@ -343,15 +304,5 @@ mod tests {
         assert_eq!(geomean(&[]), 0.0);
         assert_eq!(pct(0.367), "+36.7%");
         assert_eq!(pct(-0.059), "-5.9%");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn env_fallbacks_still_answer() {
-        // The deprecated wrappers delegate to Experiment::from_env.
-        assert!(trace_requests() >= 1000);
-        assert!(mc_channels() >= 100);
-        assert!(mc_machines() >= 100);
-        assert_eq!(trace_config().requests, trace_requests());
     }
 }

@@ -16,9 +16,9 @@
 //!   `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale
 //!   studies over the `arcc-fleet` event engine (`fleet_baseline`,
 //!   `fleet_mixed_population`, `fleet_repair_policies`), each runnable
-//!   in-process via [`run`]. The figure binaries in `arcc-bench` are thin
-//!   shims; `repro_all` is an in-process loop ([`run_all`]) rather than a
-//!   subprocess chain.
+//!   in-process via [`run`]. `arcc-bench`'s `repro_all` binary is an
+//!   in-process loop ([`run_all`]) rather than a subprocess chain, and
+//!   `repro_all <name>` runs a single artefact.
 //! * [`sweep`] — a deterministic parallel sweep engine: ordered
 //!   [`parallel_map`] over `std::thread::scope`, per-cell seeds
 //!   ([`cell_seed`]), and Monte-Carlo channel sharding
@@ -60,8 +60,8 @@ pub mod sweep;
 pub use experiment::{Experiment, DEFAULT_FRACTION_GRID};
 pub use report::{Report, Table, Value};
 pub use runner::{
-    default_report_dir, main_for, profile_json, repro_all_main, repro_all_main_with, run_all,
-    run_and_print, run_selected, run_selected_profiled,
+    default_report_dir, profile_json, repro_all_main, repro_all_main_with, run_all, run_selected,
+    run_selected_profiled,
 };
 pub use scenario::{find, names, registry, run, ExpError, Scenario};
 pub use sweep::{

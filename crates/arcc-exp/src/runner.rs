@@ -1,5 +1,5 @@
-//! Driving scenarios from binaries: single-artefact shims and the
-//! in-process `repro_all` loop with JSON report emission.
+//! Driving scenarios from binaries: the in-process `repro_all` loop
+//! with JSON report emission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -8,28 +8,7 @@ use arcc_obs::{elapsed_secs, Clock, ManualClock, WallClock};
 
 use crate::experiment::Experiment;
 use crate::report::Report;
-use crate::scenario::{registry, run, ExpError, Scenario};
-
-/// Runs one scenario and prints its human rendering to stdout.
-pub fn run_and_print(name: &str, exp: &Experiment) -> Result<Report, ExpError> {
-    let report = run(name, exp)?;
-    print!("{}", report.render());
-    Ok(report)
-}
-
-/// Entry point for the single-artefact shim binaries under `arcc-bench`:
-/// builds an [`Experiment`] from the deprecated `ARCC_*` environment
-/// fallback, runs `name`, prints the rendering, and exits.
-pub fn main_for(name: &str) -> ! {
-    let exp = Experiment::from_env();
-    match run_and_print(name, &exp) {
-        Ok(_) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
+use crate::scenario::{registry, ExpError, Scenario};
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -10,9 +10,8 @@
 //! trace-driven replay studies over `arcc-replay`
 //! (`fleet_replay_roundtrip`, `fleet_fit_vs_replay`), and the ECC
 //! scheme-zoo studies (`scheme_zoo`, `codec_escape_rates`,
-//! `fleet_scheme_sweep`); the figure/table binaries under `arcc-bench`
-//! are thin shims over [`crate::run`], and `repro_all` loops the whole
-//! registry in-process.
+//! `fleet_scheme_sweep`); `arcc-bench`'s `repro_all` loops the whole
+//! registry in-process, or runs the scenarios it is named.
 
 use std::fmt;
 

@@ -1,6 +1,6 @@
 //! The thirteen paper artefacts plus the fleet-scale studies as
 //! [`Scenario`](crate::Scenario) implementations. Each module groups
-//! related figures; the binaries in `arcc-bench` are shims over these via
+//! related figures; `arcc-bench`'s `repro_all` runs them via
 //! [`crate::run`].
 
 mod fleet;

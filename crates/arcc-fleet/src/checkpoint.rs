@@ -31,28 +31,17 @@ pub struct FleetCheckpoint {
     pub stats: FleetStats,
 }
 
-/// Errors parsing or applying a checkpoint.
+/// Errors parsing a checkpoint.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The text was not a valid checkpoint serialisation.
     Malformed(String),
-    /// The checkpoint belongs to a different spec.
-    SpecMismatch {
-        /// Fingerprint recorded in the checkpoint.
-        expected: u64,
-        /// Fingerprint of the spec being resumed.
-        actual: u64,
-    },
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
-            CheckpointError::SpecMismatch { expected, actual } => write!(
-                f,
-                "checkpoint fingerprint {expected:#x} does not match spec {actual:#x}"
-            ),
         }
     }
 }
@@ -66,15 +55,6 @@ pub enum PersistError {
     Io(io::Error),
     /// The file existed but was not a valid checkpoint.
     Parse(CheckpointError),
-    /// The file is a valid checkpoint of a *different* run.
-    Mismatch {
-        /// Fingerprint recorded in the file.
-        expected: u64,
-        /// Fingerprint of the run being resumed.
-        actual: u64,
-    },
-    /// A replay arrival set failed validation against the spec.
-    Replay(crate::source::ReplayError),
 }
 
 impl fmt::Display for PersistError {
@@ -82,11 +62,6 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "checkpoint file I/O failed: {e}"),
             PersistError::Parse(e) => write!(f, "checkpoint file unreadable: {e}"),
-            PersistError::Mismatch { expected, actual } => write!(
-                f,
-                "checkpoint file fingerprint {expected:#x} does not match the run {actual:#x}"
-            ),
-            PersistError::Replay(e) => write!(f, "replay arrivals invalid: {e}"),
         }
     }
 }
@@ -96,8 +71,6 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Parse(e) => Some(e),
-            PersistError::Replay(e) => Some(e),
-            PersistError::Mismatch { .. } => None,
         }
     }
 }
@@ -502,6 +475,12 @@ mod tests {
         newer.write_atomic(&path).expect("overwrite");
         let reloaded = FleetCheckpoint::load(&path).expect("load").expect("exists");
         assert_eq!(reloaded, newer);
+        // Garbage at the path is a parse error, never a silent restart.
+        std::fs::write(&path, "definitely not a checkpoint").expect("write garbage");
+        assert!(matches!(
+            FleetCheckpoint::load(&path),
+            Err(PersistError::Parse(_))
+        ));
         std::fs::remove_file(&path).expect("cleanup");
     }
 

@@ -211,7 +211,7 @@ impl<'a> ShardEngine<'a> {
         Self::build(spec, shard, Some(arrivals))
     }
 
-    fn build(spec: &FleetSpec, shard: u64, replay: Option<&'a ReplayArrivals>) -> Self {
+    pub(crate) fn build(spec: &FleetSpec, shard: u64, replay: Option<&'a ReplayArrivals>) -> Self {
         let shard_channels = spec.shard_size(shard);
         let shard_seed = cell_seed(spec.seed, shard);
         let first_channel = shard * spec.shard_channels as u64;
@@ -367,15 +367,9 @@ impl<'a> ShardEngine<'a> {
         self.metrics.queue_peak = self.metrics.queue_peak.max(self.queue.len() as u64);
     }
 
-    /// Runs the shard to the horizon and returns its aggregate.
-    pub fn run(mut self) -> FleetStats {
-        self.drain();
-        self.finalize()
-    }
-
-    /// Like [`Self::run`], but also returns the shard's deterministic
-    /// [`EngineMetrics`] for observed runs.
-    pub fn run_observed(mut self) -> (FleetStats, EngineMetrics) {
+    /// Runs the shard to the horizon and returns its aggregate plus the
+    /// shard's deterministic [`EngineMetrics`].
+    pub fn run(mut self) -> (FleetStats, EngineMetrics) {
         self.drain();
         let metrics = self.metrics;
         (self.finalize(), metrics)
@@ -733,8 +727,8 @@ mod tests {
     #[test]
     fn shard_runs_are_deterministic() {
         let spec = quick_spec(500, 4.0);
-        let a = ShardEngine::new(&spec, 0).run();
-        let b = ShardEngine::new(&spec, 0).run();
+        let a = ShardEngine::new(&spec, 0).run().0;
+        let b = ShardEngine::new(&spec, 0).run().0;
         assert_eq!(a, b);
         assert_eq!(a.channels, 500);
         assert!(a.faults > 0, "4x rates over 7y must produce faults");
@@ -745,8 +739,12 @@ mod tests {
         for mult in [4.0, 30.0] {
             let spec =
                 quick_spec(800, mult).policy(OperatorPolicy::SparePool { spares_per_10k: 20 });
-            let heap = ShardEngine::new(&spec.clone().scheduler(SchedulerKind::Heap), 0).run();
-            let bucket = ShardEngine::new(&spec.scheduler(SchedulerKind::Bucket), 0).run();
+            let heap = ShardEngine::new(&spec.clone().scheduler(SchedulerKind::Heap), 0)
+                .run()
+                .0;
+            let bucket = ShardEngine::new(&spec.scheduler(SchedulerKind::Bucket), 0)
+                .run()
+                .0;
             assert!(
                 heap.bitwise_eq(&bucket),
                 "{mult}x: schedulers diverged: {heap:?} vs {bucket:?}"
@@ -757,7 +755,7 @@ mod tests {
     #[test]
     fn fault_count_tracks_poisson_expectation() {
         let spec = quick_spec(4000, 4.0);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         let sampler = FaultSampler::new(spec.populations[0].geometry, spec.populations[0].rates());
         let expect = sampler.expected_faults(spec.horizon_hours()) * 4000.0;
         let got = stats.faults as f64;
@@ -777,7 +775,7 @@ mod tests {
     #[test]
     fn transients_clear_and_permanents_upgrade() {
         let spec = quick_spec(3000, 8.0);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         assert!(stats.transient_cleared > 0);
         assert!(stats.detections >= stats.transient_cleared);
         assert!(stats.avg_upgraded_fraction() > 0.0);
@@ -825,8 +823,10 @@ mod tests {
     fn replace_on_due_resets_channels() {
         // High rates make DUE overlaps likely enough to exercise the path.
         let base = quick_spec(3000, 30.0);
-        let none = ShardEngine::new(&base, 0).run();
-        let replace = ShardEngine::new(&base.clone().policy(OperatorPolicy::ReplaceOnDue), 0).run();
+        let none = ShardEngine::new(&base, 0).run().0;
+        let replace = ShardEngine::new(&base.clone().policy(OperatorPolicy::ReplaceOnDue), 0)
+            .run()
+            .0;
         assert!(none.due_events > 0, "need DUEs to compare policies");
         assert!(replace.replacements > 0);
         assert_eq!(replace.channels_failed, 0);
@@ -843,7 +843,7 @@ mod tests {
         let spec = quick_spec(3000, 30.0).policy(OperatorPolicy::SparePool { spares_per_10k: 10 });
         let stocked = spec.policy.spares_for_range(0, 3000) as u64;
         assert_eq!(stocked, 3);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         assert_eq!(stats.spares_consumed, stocked, "pool must drain fully");
         assert_eq!(stats.replacements, stocked);
         assert!(
@@ -891,7 +891,7 @@ mod tests {
                     .rate_multiplier(30.0)
                     .scheme(key)])
                 .shard_channels(2000);
-            ShardEngine::new(&spec, 0).run()
+            ShardEngine::new(&spec, 0).run().0
         };
         let arcc = for_scheme("arcc");
         let sccdcd = for_scheme("sccdcd");
@@ -920,7 +920,7 @@ mod tests {
     #[test]
     fn zero_rate_population_is_inert() {
         let spec = quick_spec(100, 0.0);
-        let stats = ShardEngine::new(&spec, 0).run();
+        let stats = ShardEngine::new(&spec, 0).run().0;
         assert_eq!(stats.faults, 0);
         assert_eq!(stats.channels, 100);
         assert_eq!(stats.channel_hours, 100.0 * spec.horizon_hours());

@@ -33,11 +33,11 @@
 //!   merge in shard order — peak memory is `O(threads × shard)`,
 //!   independent of fleet size, and parallel runs are byte-identical to
 //!   sequential ones;
-//! * runs checkpoint and resume at shard granularity
-//!   ([`FleetCheckpoint`], [`run_fleet_until`], [`resume_fleet`]) with a
-//!   bit-exact text serialisation — including **atomic on-disk
-//!   persistence** ([`run_fleet_checkpointed`]: tmp+rename every N
-//!   shards, resume-from-disk out of the box);
+//! * runs checkpoint and resume at shard granularity through one entry
+//!   point ([`run_until`] over a [`FleetCheckpoint`]) with a bit-exact
+//!   text serialisation — including **atomic on-disk persistence**
+//!   ([`FleetCheckpoint::write_atomic`]: tmp+rename, reloaded with
+//!   [`FleetCheckpoint::load`]);
 //! * arrivals are **dual-source** ([`source`]): the synthetic lazy draws
 //!   above, or a [`ReplayArrivals`] set of *observed* arrivals
 //!   ([`run_replay`], fed by the `arcc-replay` crate's fault-log
@@ -45,12 +45,11 @@
 //!   machinery while detection, upgrade, and policy stay simulated — a
 //!   log generated from a spec replays **bit-identically** under
 //!   no-repair;
-//! * every entry point has an `_observed` twin ([`run_fleet_observed`],
-//!   [`run_replay_observed`], …) that additionally returns an
-//!   `arcc-obs` metric snapshot of deterministic engine counts
+//! * [`run_until`] records deterministic engine counts
 //!   ([`EngineMetrics`]: events popped, horizon-bypass hits/misses,
-//!   queue occupancy, compactions) — recorded in shard order, so the
-//!   snapshot is as schedule-invariant as the stats themselves.
+//!   queue occupancy, compactions) into any `arcc-obs` recorder — in
+//!   shard order, so the snapshot is as schedule-invariant as the stats
+//!   themselves ([`run_fleet_observed`] is the one-shot shorthand).
 //!
 //! The engine is pinned against the paper-path Monte Carlo: at the
 //! paper's 10 000-channel scale its lifetime failure probabilities agree
@@ -88,10 +87,8 @@ pub mod stats;
 pub use checkpoint::{CheckpointError, FleetCheckpoint, PersistError};
 pub use engine::EngineMetrics;
 pub use runner::{
-    extend_replay, resume_fleet, resume_replay, run_fleet, run_fleet_checkpointed,
-    run_fleet_observed, run_fleet_until, run_fleet_until_observed, run_replay,
-    run_replay_checkpointed, run_replay_observed, run_replay_until, run_replay_until_observed,
-    run_shard, run_shard_observed, run_shard_replay, run_shard_replay_observed,
+    extend_replay, run_fleet, run_fleet_observed, run_replay, run_shard, run_shard_replay,
+    run_until,
 };
 pub use source::{ReplayArrivals, ReplayError};
 pub use spec::{

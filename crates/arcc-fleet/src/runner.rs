@@ -15,13 +15,11 @@
 //! bucket shards produce byte-identical aggregates, so runs (and
 //! checkpoints) mix schedulers freely.
 
-use std::path::Path;
-
 use arcc_core::parallel_map;
-use arcc_obs::{MetricsSnapshot, Recorder, SnapshotRecorder};
+use arcc_obs::{MetricsSnapshot, NoopRecorder, Recorder, SnapshotRecorder};
 
-use crate::checkpoint::{CheckpointError, FleetCheckpoint, PersistError};
-use crate::engine::{EngineMetrics, ShardEngine};
+use crate::checkpoint::FleetCheckpoint;
+use crate::engine::ShardEngine;
 use crate::source::{ReplayArrivals, ReplayError};
 use crate::spec::FleetSpec;
 use crate::stats::FleetStats;
@@ -31,7 +29,7 @@ const WINDOW_FACTOR: usize = 4;
 
 /// Runs one shard to completion (the unit the runner parallelises).
 pub fn run_shard(spec: &FleetSpec, shard: u64) -> FleetStats {
-    ShardEngine::new(spec, shard).run()
+    ShardEngine::new(spec, shard).run().0
 }
 
 /// Runs one shard in replay mode.
@@ -42,47 +40,30 @@ pub fn run_shard(spec: &FleetSpec, shard: u64) -> FleetStats {
 /// [validated](ReplayArrivals::validate_for) against `spec` — an
 /// arrival set covering fewer channels than the spec simulates panics
 /// on an out-of-bounds channel lookup. The fleet-level entry points
-/// ([`run_replay`] and friends) validate first and return a typed
+/// ([`run_replay`], [`run_until`]) validate first and return a typed
 /// [`ReplayError`] instead.
 pub fn run_shard_replay(spec: &FleetSpec, shard: u64, arrivals: &ReplayArrivals) -> FleetStats {
-    ShardEngine::new_replay(spec, shard, arrivals).run()
-}
-
-/// [`run_shard`] plus the shard's deterministic [`EngineMetrics`].
-pub fn run_shard_observed(spec: &FleetSpec, shard: u64) -> (FleetStats, EngineMetrics) {
-    ShardEngine::new(spec, shard).run_observed()
-}
-
-/// [`run_shard_replay`] plus the shard's deterministic [`EngineMetrics`].
-///
-/// # Panics
-///
-/// As for [`run_shard_replay`]: `arrivals` must already be validated
-/// against `spec`.
-pub fn run_shard_replay_observed(
-    spec: &FleetSpec,
-    shard: u64,
-    arrivals: &ReplayArrivals,
-) -> (FleetStats, EngineMetrics) {
-    ShardEngine::new_replay(spec, shard, arrivals).run_observed()
+    ShardEngine::new_replay(spec, shard, arrivals).run().0
 }
 
 /// Runs the whole fleet on up to `threads` workers and returns the merged
 /// aggregate.
 pub fn run_fleet(threads: usize, spec: &FleetSpec) -> FleetStats {
     let ckpt = FleetCheckpoint::start(spec);
-    run_span(threads, spec, ckpt, spec.shard_count(), None).stats
+    let all = spec.shard_count();
+    span(threads, spec, None, ckpt, all, &mut NoopRecorder).stats
 }
 
 /// [`run_fleet`] plus a deterministic metric snapshot (`fleet.*` event
 /// counts). The snapshot is schedule-invariant: any `threads` value
-/// yields byte-identical metrics, and concatenating the snapshots of a
-/// split run ([`run_fleet_until_observed`]) reproduces the one-shot
-/// snapshot — the same contract the stats themselves carry.
+/// yields byte-identical metrics, and merging the snapshots of a split
+/// run ([`run_until`] into a fresh recorder per call) reproduces the
+/// one-shot snapshot — the same contract the stats themselves carry.
 pub fn run_fleet_observed(threads: usize, spec: &FleetSpec) -> (FleetStats, MetricsSnapshot) {
     let ckpt = FleetCheckpoint::start(spec);
+    let all = spec.shard_count();
     let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(threads, spec, ckpt, spec.shard_count(), None, &mut rec);
+    let done = span(threads, spec, None, ckpt, all, &mut rec);
     (done.stats, rec.into_snapshot())
 }
 
@@ -100,100 +81,70 @@ pub fn run_replay(
 ) -> Result<FleetStats, ReplayError> {
     arrivals.validate_for(spec)?;
     let ckpt = FleetCheckpoint::start_replay(spec, arrivals);
-    Ok(run_span(threads, spec, ckpt, spec.shard_count(), Some(arrivals)).stats)
+    let all = spec.shard_count();
+    Ok(span(threads, spec, Some(arrivals), ckpt, all, &mut NoopRecorder).stats)
 }
 
-/// [`run_replay`] plus a deterministic metric snapshot (see
-/// [`run_fleet_observed`] for the schedule-invariance contract).
+/// The one general entry point: runs shards `[ckpt.shards_done, until)`
+/// of a synthetic (`arrivals: None`) or replay run, records every shard's
+/// [`EngineMetrics`](crate::EngineMetrics) into `rec` in shard order, and
+/// returns the extended checkpoint. `until` is clamped to the shard
+/// count, so feeding the result back in (with a larger `until`)
+/// continues the same run, and `until = spec.shard_count()` resumes it
+/// to completion. Start from [`FleetCheckpoint::start`] or
+/// [`FleetCheckpoint::start_replay`]; pass [`NoopRecorder`] when no
+/// metrics are wanted. `rec` sees only the shards this call ran, so the
+/// snapshots of consecutive calls merge to the one-shot snapshot.
 ///
-/// # Errors
+/// Durable progress is a loop around this call — resume from disk,
+/// checkpoint every `n` shards:
 ///
-/// As for [`run_replay`].
-pub fn run_replay_observed(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-) -> Result<(FleetStats, MetricsSnapshot), ReplayError> {
-    arrivals.validate_for(spec)?;
-    let ckpt = FleetCheckpoint::start_replay(spec, arrivals);
-    let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(
-        threads,
-        spec,
-        ckpt,
-        spec.shard_count(),
-        Some(arrivals),
-        &mut rec,
-    );
-    Ok((done.stats, rec.into_snapshot()))
-}
-
-/// Replay-mode [`run_fleet_until`]: runs shards `[ckpt.shards_done,
-/// until)` of a replay run and returns the extended checkpoint. Start
-/// from [`FleetCheckpoint::start_replay`]; checkpoints carry the mixed
-/// (spec, arrivals) fingerprint, so a synthetic checkpoint (or one from a
-/// different log) is refused.
+/// ```
+/// # use arcc_fleet::{run_fleet, run_until, FleetCheckpoint, FleetSpec};
+/// # use arcc_obs::NoopRecorder;
+/// # let spec = FleetSpec::baseline(3_000).shard_channels(1_000);
+/// # let path = std::env::temp_dir().join(format!("arcc-doc-{}.ckpt", std::process::id()));
+/// # let n = 1;
+/// let mut ckpt = FleetCheckpoint::load(&path)?.unwrap_or_else(|| FleetCheckpoint::start(&spec));
+/// while ckpt.shards_done < spec.shard_count() {
+///     let until = ckpt.shards_done + n;
+///     ckpt = run_until(2, &spec, None, ckpt, until, &mut NoopRecorder)?;
+///     ckpt.write_atomic(&path)?;
+/// }
+/// # assert_eq!(ckpt.stats, run_fleet(2, &spec));
+/// # std::fs::remove_file(&path)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 ///
 /// # Errors
 ///
 /// [`ReplayError::CheckpointMismatch`] when `ckpt` was produced under a
-/// different spec or arrival set, plus the [`run_replay`] validations.
-pub fn run_replay_until(
+/// different spec, a different arrival set, or the other source (a
+/// replay checkpoint never resumes a synthetic run, nor the reverse),
+/// plus the [`run_replay`] validations of `arrivals`.
+pub fn run_until(
     threads: usize,
     spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
+    arrivals: Option<&ReplayArrivals>,
     ckpt: FleetCheckpoint,
     until: u64,
+    rec: &mut dyn Recorder,
 ) -> Result<FleetCheckpoint, ReplayError> {
-    arrivals.validate_for(spec)?;
-    let expected = arrivals.run_fingerprint(spec);
+    let expected = match arrivals {
+        Some(arrivals) => {
+            arrivals.validate_for(spec)?;
+            arrivals.run_fingerprint(spec)
+        }
+        None => spec.fingerprint(),
+    };
     if ckpt.fingerprint != expected {
         return Err(ReplayError::CheckpointMismatch {
             expected: ckpt.fingerprint,
             actual: expected,
         });
     }
-    Ok(run_span(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        Some(arrivals),
-    ))
-}
-
-/// [`run_replay_until`] plus a *span-local* metric snapshot covering only
-/// the shards this call ran. Merging the snapshots of consecutive spans
-/// yields byte-for-byte the one-shot [`run_replay_observed`] snapshot.
-///
-/// # Errors
-///
-/// As for [`run_replay_until`].
-pub fn run_replay_until_observed(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-    ckpt: FleetCheckpoint,
-    until: u64,
-) -> Result<(FleetCheckpoint, MetricsSnapshot), ReplayError> {
-    arrivals.validate_for(spec)?;
-    let expected = arrivals.run_fingerprint(spec);
-    if ckpt.fingerprint != expected {
-        return Err(ReplayError::CheckpointMismatch {
-            expected: ckpt.fingerprint,
-            actual: expected,
-        });
-    }
-    let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        Some(arrivals),
-        &mut rec,
-    );
-    Ok((done, rec.into_snapshot()))
+    let until = until.min(spec.shard_count());
+    Ok(span(threads, spec, arrivals, ckpt, until, rec))
 }
 
 /// Extends a checkpointed replay run whose arrival set has *grown*
@@ -247,216 +198,38 @@ pub fn extend_replay(
     }
     let mut ckpt = ckpt;
     ckpt.fingerprint = arrivals.run_fingerprint_prefix(spec, complete * shard);
-    Ok(run_span(threads, spec, ckpt, complete, Some(arrivals)))
-}
-
-/// Resumes a checkpointed replay run to completion.
-///
-/// # Errors
-///
-/// As for [`run_replay_until`].
-pub fn resume_replay(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-    ckpt: FleetCheckpoint,
-) -> Result<FleetStats, ReplayError> {
-    run_replay_until(threads, spec, arrivals, ckpt, spec.shard_count()).map(|c| c.stats)
-}
-
-/// Runs shards `[ckpt.shards_done, until)` and returns the extended
-/// checkpoint; `until` is clamped to the shard count. Feeding the result
-/// back in (with a larger `until`) continues the same run.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::SpecMismatch`] when `ckpt` was produced
-/// under a different spec.
-pub fn run_fleet_until(
-    threads: usize,
-    spec: &FleetSpec,
-    ckpt: FleetCheckpoint,
-    until: u64,
-) -> Result<FleetCheckpoint, CheckpointError> {
-    if !ckpt.matches(spec) {
-        return Err(CheckpointError::SpecMismatch {
-            expected: ckpt.fingerprint,
-            actual: spec.fingerprint(),
-        });
-    }
-    Ok(run_span(
+    Ok(span(
         threads,
         spec,
+        Some(arrivals),
         ckpt,
-        until.min(spec.shard_count()),
-        None,
+        complete,
+        &mut NoopRecorder,
     ))
 }
 
-/// [`run_fleet_until`] plus a *span-local* metric snapshot covering only
-/// the shards this call ran (see [`run_replay_until_observed`]).
-///
-/// # Errors
-///
-/// As for [`run_fleet_until`].
-pub fn run_fleet_until_observed(
+/// The runner's one shard loop: runs shards `[ckpt.shards_done, until)`
+/// in windows and folds each shard's stats into `ckpt` and its
+/// [`EngineMetrics`](crate::EngineMetrics) into `rec` — always in shard
+/// order, so both the stats and the recorded snapshot are invariant to
+/// `threads` and to how a run is split.
+fn span(
     threads: usize,
     spec: &FleetSpec,
-    ckpt: FleetCheckpoint,
-    until: u64,
-) -> Result<(FleetCheckpoint, MetricsSnapshot), CheckpointError> {
-    if !ckpt.matches(spec) {
-        return Err(CheckpointError::SpecMismatch {
-            expected: ckpt.fingerprint,
-            actual: spec.fingerprint(),
-        });
-    }
-    let mut rec = SnapshotRecorder::new();
-    let done = run_span_observed(
-        threads,
-        spec,
-        ckpt,
-        until.min(spec.shard_count()),
-        None,
-        &mut rec,
-    );
-    Ok((done, rec.into_snapshot()))
-}
-
-/// Runs the fleet with durable progress: the checkpoint is written
-/// atomically to `path` every `every_shards` completed shards, and an
-/// existing checkpoint at `path` is resumed — so a killed run continues
-/// from disk just by calling this again with the same arguments. The
-/// final (complete) checkpoint is left on disk; re-running a finished
-/// run returns its stats without simulating anything.
-///
-/// # Errors
-///
-/// [`PersistError::Mismatch`] when the file at `path` belongs to a
-/// different spec, [`PersistError::Parse`] when it is not a valid
-/// checkpoint, [`PersistError::Io`] on filesystem failures.
-pub fn run_fleet_checkpointed(
-    threads: usize,
-    spec: &FleetSpec,
-    path: &Path,
-    every_shards: u64,
-) -> Result<FleetStats, PersistError> {
-    run_checkpointed_impl(threads, spec, None, path, every_shards)
-}
-
-/// Replay-mode [`run_fleet_checkpointed`]: durable checkpoints carry the
-/// mixed (spec, arrivals) fingerprint, so a file from a different log or
-/// spec is refused rather than resumed.
-///
-/// # Errors
-///
-/// As for [`run_fleet_checkpointed`]; arrival-set validation failures
-/// surface as [`PersistError::Replay`].
-pub fn run_replay_checkpointed(
-    threads: usize,
-    spec: &FleetSpec,
-    arrivals: &ReplayArrivals,
-    path: &Path,
-    every_shards: u64,
-) -> Result<FleetStats, PersistError> {
-    arrivals.validate_for(spec).map_err(PersistError::Replay)?;
-    run_checkpointed_impl(threads, spec, Some(arrivals), path, every_shards)
-}
-
-fn run_checkpointed_impl(
-    threads: usize,
-    spec: &FleetSpec,
-    replay: Option<&ReplayArrivals>,
-    path: &Path,
-    every_shards: u64,
-) -> Result<FleetStats, PersistError> {
-    let expected = match replay {
-        Some(arrivals) => arrivals.run_fingerprint(spec),
-        None => spec.fingerprint(),
-    };
-    let mut ckpt = match FleetCheckpoint::load(path)? {
-        Some(c) => {
-            if c.fingerprint != expected {
-                return Err(PersistError::Mismatch {
-                    expected: c.fingerprint,
-                    actual: expected,
-                });
-            }
-            c
-        }
-        None => match replay {
-            Some(arrivals) => FleetCheckpoint::start_replay(spec, arrivals),
-            None => FleetCheckpoint::start(spec),
-        },
-    };
-    let total = spec.shard_count();
-    let every = every_shards.max(1);
-    while ckpt.shards_done < total {
-        let until = (ckpt.shards_done + every).min(total);
-        ckpt = run_span(threads, spec, ckpt, until, replay);
-        ckpt.write_atomic(path).map_err(PersistError::Io)?;
-    }
-    Ok(ckpt.stats)
-}
-
-/// Resumes a checkpointed run to completion.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::SpecMismatch`] when `ckpt` was produced
-/// under a different spec.
-pub fn resume_fleet(
-    threads: usize,
-    spec: &FleetSpec,
-    ckpt: FleetCheckpoint,
-) -> Result<FleetStats, CheckpointError> {
-    run_fleet_until(threads, spec, ckpt, spec.shard_count()).map(|c| c.stats)
-}
-
-fn run_span(
-    threads: usize,
-    spec: &FleetSpec,
+    arrivals: Option<&ReplayArrivals>,
     mut ckpt: FleetCheckpoint,
     until: u64,
-    replay: Option<&ReplayArrivals>,
-) -> FleetCheckpoint {
-    let window = (threads.max(1) * WINDOW_FACTOR).max(1) as u64;
-    while ckpt.shards_done < until {
-        let hi = (ckpt.shards_done + window).min(until);
-        let shards: Vec<u64> = (ckpt.shards_done..hi).collect();
-        let aggregates = parallel_map(threads, &shards, |_, &shard| match replay {
-            Some(arrivals) => run_shard_replay(spec, shard, arrivals),
-            None => run_shard(spec, shard),
-        });
-        for agg in &aggregates {
-            ckpt.stats.merge(agg);
-        }
-        ckpt.shards_done = hi;
-    }
-    ckpt
-}
-
-/// [`run_span`] with per-shard [`EngineMetrics`] recorded into `rec` —
-/// always in shard order, mirroring the stats fold, so the recorded
-/// snapshot is invariant to `threads` and to how a span is split.
-fn run_span_observed(
-    threads: usize,
-    spec: &FleetSpec,
-    mut ckpt: FleetCheckpoint,
-    until: u64,
-    replay: Option<&ReplayArrivals>,
     rec: &mut dyn Recorder,
 ) -> FleetCheckpoint {
-    let window = (threads.max(1) * WINDOW_FACTOR).max(1) as u64;
+    let window = (threads.max(1) * WINDOW_FACTOR) as u64;
     while ckpt.shards_done < until {
         let hi = (ckpt.shards_done + window).min(until);
         let shards: Vec<u64> = (ckpt.shards_done..hi).collect();
-        let aggregates = parallel_map(threads, &shards, |_, &shard| match replay {
-            Some(arrivals) => run_shard_replay_observed(spec, shard, arrivals),
-            None => run_shard_observed(spec, shard),
+        let results = parallel_map(threads, &shards, |_, &shard| {
+            ShardEngine::build(spec, shard, arrivals).run()
         });
-        for (agg, metrics) in &aggregates {
-            ckpt.stats.merge(agg);
+        for (stats, metrics) in &results {
+            ckpt.stats.merge(stats);
             metrics.record_into(rec);
         }
         ckpt.shards_done = hi;
@@ -503,16 +276,21 @@ mod tests {
         assert_eq!(fleet, manual);
     }
 
+    /// Synthetic [`run_until`] with no metrics recorded.
+    fn until(threads: usize, s: &FleetSpec, ckpt: FleetCheckpoint, to: u64) -> FleetCheckpoint {
+        run_until(threads, s, None, ckpt, to, &mut NoopRecorder).expect("synthetic span")
+    }
+
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let s = spec();
         let full = run_fleet(4, &s);
         // Stop after 2 shards, round-trip through text, resume.
-        let half = run_fleet_until(4, &s, FleetCheckpoint::start(&s), 2).expect("prefix");
+        let half = until(4, &s, FleetCheckpoint::start(&s), 2);
         assert_eq!(half.shards_done, 2);
         let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let resumed = resume_fleet(4, &s, parsed).expect("resume");
-        assert_eq!(resumed, full);
+        let resumed = until(4, &s, parsed, s.shard_count());
+        assert_eq!(resumed.stats, full);
     }
 
     #[test]
@@ -520,20 +298,19 @@ mod tests {
         let s = spec();
         let ckpt = FleetCheckpoint::start(&s.clone().seed(1));
         assert!(matches!(
-            resume_fleet(1, &s, ckpt),
-            Err(CheckpointError::SpecMismatch { .. })
+            run_until(1, &s, None, ckpt, s.shard_count(), &mut NoopRecorder),
+            Err(ReplayError::CheckpointMismatch { .. })
         ));
     }
 
     #[test]
     fn until_clamps_to_shard_count() {
         let s = spec();
-        let done = run_fleet_until(2, &s, FleetCheckpoint::start(&s), 999).expect("run");
+        let done = until(2, &s, FleetCheckpoint::start(&s), 999);
         assert_eq!(done.shards_done, s.shard_count());
         assert_eq!(done.stats, run_fleet(2, &s));
     }
 
-    use crate::source::{ReplayArrivals, ReplayError};
     use arcc_faults::montecarlo::FaultSampler;
     use arcc_faults::{FaultGeometry, FitRates};
     use rand::rngs::StdRng;
@@ -582,21 +359,22 @@ mod tests {
         let s = FleetSpec::baseline(700).shard_channels(256).seed(9);
         let arrivals = arrivals_at(700, &[(1, &[10.0, 11.0, 12.0]), (400, &[99.5])]);
         let full = run_replay(2, &s, &arrivals).expect("replay");
-        let half = run_replay_until(
-            2,
-            &s,
-            &arrivals,
-            FleetCheckpoint::start_replay(&s, &arrivals),
-            1,
-        )
-        .expect("prefix");
+        let replay_until = |ckpt: FleetCheckpoint, to: u64| {
+            run_until(2, &s, Some(&arrivals), ckpt, to, &mut NoopRecorder)
+        };
+        let half = replay_until(FleetCheckpoint::start_replay(&s, &arrivals), 1).expect("prefix");
         assert_eq!(half.shards_done, 1);
         let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let resumed = resume_replay(2, &s, &arrivals, parsed).expect("resume");
-        assert!(resumed.bitwise_eq(&full));
+        let resumed = replay_until(parsed, s.shard_count()).expect("resume");
+        assert!(resumed.stats.bitwise_eq(&full));
         // A synthetic checkpoint must not resume a replay run...
         assert!(matches!(
-            resume_replay(1, &s, &arrivals, FleetCheckpoint::start(&s)),
+            replay_until(FleetCheckpoint::start(&s), s.shard_count()),
+            Err(ReplayError::CheckpointMismatch { .. })
+        ));
+        // ...nor a replay checkpoint a synthetic one...
+        assert!(matches!(
+            run_until(1, &s, None, half, s.shard_count(), &mut NoopRecorder),
             Err(ReplayError::CheckpointMismatch { .. })
         ));
         // ...and a replay set of the wrong width is refused outright.
@@ -699,6 +477,39 @@ mod tests {
         std::env::temp_dir().join(format!("arcc-fleet-{}-{name}", std::process::id()))
     }
 
+    /// The documented durable loop: load the checkpoint at `path` (or
+    /// start fresh), then [`run_until`] `n` shards at a time, writing the
+    /// checkpoint after each step. The first step always runs, so a
+    /// finished file is still checked against `s` and `arrivals`.
+    fn run_on_disk(
+        threads: usize,
+        s: &FleetSpec,
+        arrivals: Option<&ReplayArrivals>,
+        path: &std::path::Path,
+        n: u64,
+    ) -> Result<FleetStats, Box<dyn std::error::Error>> {
+        let start = || match arrivals {
+            Some(arrivals) => FleetCheckpoint::start_replay(s, arrivals),
+            None => FleetCheckpoint::start(s),
+        };
+        let mut ckpt = FleetCheckpoint::load(path)?.unwrap_or_else(start);
+        loop {
+            let until = ckpt.shards_done + n;
+            ckpt = run_until(threads, s, arrivals, ckpt, until, &mut NoopRecorder)?;
+            ckpt.write_atomic(path)?;
+            if ckpt.shards_done == s.shard_count() {
+                return Ok(ckpt.stats);
+            }
+        }
+    }
+
+    fn is_mismatch(e: &(dyn std::error::Error + 'static)) -> bool {
+        matches!(
+            e.downcast_ref::<ReplayError>(),
+            Some(ReplayError::CheckpointMismatch { .. })
+        )
+    }
+
     #[test]
     fn checkpointed_run_persists_and_resumes_from_disk() {
         let s = spec();
@@ -706,22 +517,20 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let full = run_fleet(4, &s);
         // A "killed" run: two shards done, checkpoint flushed to disk.
-        let partial = run_fleet_until(4, &s, FleetCheckpoint::start(&s), 2).expect("prefix");
+        let partial = until(4, &s, FleetCheckpoint::start(&s), 2);
         partial.write_atomic(&path).expect("write");
         // The fresh process picks the file up and finishes the run.
-        let resumed = run_fleet_checkpointed(4, &s, &path, 1).expect("resume from disk");
+        let resumed = run_on_disk(4, &s, None, &path, 1).expect("resume from disk");
         assert_eq!(resumed, full);
         // The file now holds the complete run; running again is a no-op
         // that returns the same stats.
         let done = FleetCheckpoint::load(&path).expect("load").expect("exists");
         assert_eq!(done.shards_done, s.shard_count());
-        let again = run_fleet_checkpointed(4, &s, &path, 3).expect("finished run");
+        let again = run_on_disk(4, &s, None, &path, 3).expect("finished run");
         assert_eq!(again, full);
         // A different spec must refuse the file, not silently restart.
-        assert!(matches!(
-            run_fleet_checkpointed(1, &s.clone().seed(1), &path, 1),
-            Err(PersistError::Mismatch { .. })
-        ));
+        let err = run_on_disk(1, &s.clone().seed(1), None, &path, 1).expect_err("mismatch");
+        assert!(is_mismatch(err.as_ref()), "{err}");
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -730,7 +539,7 @@ mod tests {
         let s = spec();
         let path = temp_path("scratch.ckpt");
         let _ = std::fs::remove_file(&path);
-        let stats = run_fleet_checkpointed(2, &s, &path, 2).expect("fresh run");
+        let stats = run_on_disk(2, &s, None, &path, 2).expect("fresh run");
         assert_eq!(stats, run_fleet(2, &s));
         // No stray temporary file is left behind.
         let tmp =
@@ -738,10 +547,14 @@ mod tests {
         assert!(!tmp.exists(), "atomic write must rename its tmp file away");
         // Garbage at the path is a parse error, never a silent restart.
         std::fs::write(&path, "definitely not a checkpoint").expect("write garbage");
-        assert!(matches!(
-            run_fleet_checkpointed(1, &s, &path, 1),
-            Err(PersistError::Parse(_))
-        ));
+        let err = run_on_disk(1, &s, None, &path, 1).expect_err("garbage");
+        assert!(
+            matches!(
+                err.downcast_ref::<crate::checkpoint::PersistError>(),
+                Some(crate::checkpoint::PersistError::Parse(_))
+            ),
+            "{err}"
+        );
         std::fs::remove_file(&path).expect("cleanup");
     }
 
@@ -752,13 +565,11 @@ mod tests {
         let path = temp_path("replay.ckpt");
         let _ = std::fs::remove_file(&path);
         let direct = run_replay(2, &s, &arrivals).expect("replay");
-        let persisted = run_replay_checkpointed(2, &s, &arrivals, &path, 1).expect("persisted");
+        let persisted = run_on_disk(2, &s, Some(&arrivals), &path, 1).expect("persisted");
         assert!(direct.bitwise_eq(&persisted));
         // A synthetic run must refuse the replay checkpoint file.
-        assert!(matches!(
-            run_fleet_checkpointed(1, &s, &path, 1),
-            Err(PersistError::Mismatch { .. })
-        ));
+        let err = run_on_disk(1, &s, None, &path, 1).expect_err("mismatch");
+        assert!(is_mismatch(err.as_ref()), "{err}");
         std::fs::remove_file(&path).expect("cleanup");
     }
 }

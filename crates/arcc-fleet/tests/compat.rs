@@ -7,9 +7,9 @@
 //! every checkpoint written by an earlier release refuses to resume.
 
 use arcc_fleet::{
-    resume_fleet, run_fleet, run_fleet_until, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy,
+    run_fleet, run_until, DimmPopulation, FleetCheckpoint, FleetSpec, OperatorPolicy,
 };
+use arcc_obs::NoopRecorder;
 
 /// The mixed-population spec used by the `arcc-serve` golden session.
 fn serve_mixed_spec() -> FleetSpec {
@@ -45,7 +45,15 @@ fn pre_zoo_checkpoint_text_loads_and_resumes() {
     // same stats layout. Serialise a partial run, re-parse it, and resume
     // — and make sure the text really carries the pre-zoo fingerprint.
     let spec = serve_mixed_spec();
-    let partial = run_fleet_until(2, &spec, FleetCheckpoint::start(&spec), 1).expect("partial run");
+    let partial = run_until(
+        2,
+        &spec,
+        None,
+        FleetCheckpoint::start(&spec),
+        1,
+        &mut NoopRecorder,
+    )
+    .expect("partial run");
     assert_eq!(partial.shards_done, 1);
     let text = partial.to_text();
     assert!(
@@ -53,8 +61,16 @@ fn pre_zoo_checkpoint_text_loads_and_resumes() {
         "checkpoint text must carry the pre-zoo fingerprint:\n{text}"
     );
     let reloaded = FleetCheckpoint::from_text(&text).expect("reload");
-    let resumed = resume_fleet(2, &spec, reloaded).expect("resume");
-    assert_eq!(resumed, run_fleet(2, &spec));
+    let resumed = run_until(
+        2,
+        &spec,
+        None,
+        reloaded,
+        spec.shard_count(),
+        &mut NoopRecorder,
+    )
+    .expect("resume");
+    assert_eq!(resumed.stats, run_fleet(2, &spec));
 }
 
 #[test]
@@ -70,5 +86,5 @@ fn zoo_specs_refuse_pre_zoo_checkpoints() {
         DimmPopulation::paper("cold").rate_multiplier(12.0),
     ]);
     assert!(!ckpt.matches(&new));
-    assert!(run_fleet_until(2, &new, ckpt, 1).is_err());
+    assert!(run_until(2, &new, None, ckpt, 1, &mut NoopRecorder).is_err());
 }

@@ -5,13 +5,27 @@
 //! snapshot, and the merge itself must be associative under shuffled
 //! shard order. This mirrors the `FleetStats` merge contract exactly.
 
+use arcc_fleet::engine::ShardEngine;
 use arcc_fleet::{
-    run_fleet, run_fleet_observed, run_fleet_until_observed, run_replay, run_replay_observed,
-    run_replay_until_observed, run_shard_observed, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy, ReplayArrivals, SchedulerKind,
+    run_fleet, run_fleet_observed, run_replay, run_until, DimmPopulation, FleetCheckpoint,
+    FleetSpec, OperatorPolicy, ReplayArrivals, SchedulerKind,
 };
 use arcc_obs::{MetricsSnapshot, Recorder, SnapshotRecorder};
 use proptest::prelude::*;
+
+/// One [`run_until`] span recorded into a fresh recorder: the span-local
+/// snapshot covers only the shards this call ran.
+fn observed_span(
+    threads: usize,
+    spec: &FleetSpec,
+    arrivals: Option<&ReplayArrivals>,
+    ckpt: FleetCheckpoint,
+    until: u64,
+) -> (FleetCheckpoint, MetricsSnapshot) {
+    let mut rec = SnapshotRecorder::new();
+    let done = run_until(threads, spec, arrivals, ckpt, until, &mut rec).expect("span");
+    (done, rec.into_snapshot())
+}
 
 fn spec_for(
     channels: u64,
@@ -84,12 +98,10 @@ proptest! {
         let split = split_at.min(spec.shard_count());
         let (full_stats, full_snap) = run_fleet_observed(4, &spec);
         let (half, mut merged) =
-            run_fleet_until_observed(4, &spec, FleetCheckpoint::start(&spec), split)
-                .expect("prefix span");
+            observed_span(4, &spec, None, FleetCheckpoint::start(&spec), split);
         // Round-trip the checkpoint through its text form mid-split.
         let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let (done, tail_snap) =
-            run_fleet_until_observed(2, &spec, parsed, spec.shard_count()).expect("tail span");
+        let (done, tail_snap) = observed_span(2, &spec, None, parsed, spec.shard_count());
         merged.merge(&tail_snap);
         prop_assert!(done.stats.bitwise_eq(&full_stats));
         prop_assert_eq!(&merged, &full_snap);
@@ -107,20 +119,19 @@ proptest! {
         // Generate a synthetic log by running the engine, then replay it.
         let spec = spec_for(channels, 128, seed, mult, OperatorPolicy::None);
         let log = arcc_replay_log(&spec);
-        let (seq_stats, seq_snap) = run_replay_observed(1, &spec, &log).expect("seq");
-        let (par_stats, par_snap) = run_replay_observed(8, &spec, &log).expect("par");
-        prop_assert!(seq_stats.bitwise_eq(&par_stats));
+        let start = FleetCheckpoint::start_replay(&spec, &log);
+        let all = spec.shard_count();
+        let (seq, seq_snap) = observed_span(1, &spec, Some(&log), start.clone(), all);
+        let (par, par_snap) = observed_span(8, &spec, Some(&log), start.clone(), all);
+        prop_assert!(seq.stats.bitwise_eq(&par.stats));
         prop_assert_eq!(&seq_snap, &par_snap);
-        prop_assert!(run_replay(4, &spec, &log).expect("plain").bitwise_eq(&seq_stats));
+        prop_assert!(run_replay(4, &spec, &log).expect("plain").bitwise_eq(&seq.stats));
 
         let split = split_at.min(spec.shard_count());
-        let start = FleetCheckpoint::start_replay(&spec, &log);
-        let (half, mut merged) =
-            run_replay_until_observed(4, &spec, &log, start, split).expect("prefix");
-        let (done, tail) =
-            run_replay_until_observed(2, &spec, &log, half, spec.shard_count()).expect("tail");
+        let (half, mut merged) = observed_span(4, &spec, Some(&log), start, split);
+        let (done, tail) = observed_span(2, &spec, Some(&log), half, all);
         merged.merge(&tail);
-        prop_assert!(done.stats.bitwise_eq(&seq_stats));
+        prop_assert!(done.stats.bitwise_eq(&seq.stats));
         prop_assert_eq!(&merged, &seq_snap);
     }
 
@@ -146,7 +157,7 @@ proptest! {
             .map(|&shard| {
                 let mut rec = SnapshotRecorder::new();
                 // Mix a histogram in so all three kinds are exercised.
-                let (_, m) = run_shard_observed(&spec, shard);
+                let (_, m) = ShardEngine::new(&spec, shard).run();
                 m.record_into(&mut rec);
                 rec.observe("test.popped.per_shard", m.popped);
                 rec.into_snapshot()

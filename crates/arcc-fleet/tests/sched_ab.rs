@@ -5,9 +5,9 @@
 //! checkpoint/resume contract must hold under (and *across*) both.
 
 use arcc_fleet::{
-    resume_fleet, run_fleet, run_fleet_until, DimmPopulation, FleetCheckpoint, FleetSpec,
-    OperatorPolicy, SchedulerKind,
+    run_fleet, run_until, DimmPopulation, FleetCheckpoint, FleetSpec, OperatorPolicy, SchedulerKind,
 };
+use arcc_obs::NoopRecorder;
 use proptest::prelude::*;
 
 fn assert_bitwise_eq(heap: &arcc_fleet::FleetStats, bucket: &arcc_fleet::FleetStats, what: &str) {
@@ -99,16 +99,26 @@ proptest! {
             .populations(vec![DimmPopulation::paper("hot").rate_multiplier(12.0)])
             .policy(OperatorPolicy::SparePool { spares_per_10k: 30 });
         let full = run_fleet(2, &spec.clone().scheduler(first));
-        let half = run_fleet_until(
+        let half = run_until(
             2,
             &spec.clone().scheduler(first),
+            None,
             FleetCheckpoint::start(&spec),
             stop,
+            &mut NoopRecorder,
         )
         .expect("prefix");
         let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("round trip");
-        let resumed = resume_fleet(2, &spec.clone().scheduler(second), parsed).expect("resume");
-        assert_bitwise_eq(&full, &resumed, "cross-scheduler resume");
+        let resumed = run_until(
+            2,
+            &spec.clone().scheduler(second),
+            None,
+            parsed,
+            spec.shard_count(),
+            &mut NoopRecorder,
+        )
+        .expect("resume");
+        assert_bitwise_eq(&full, &resumed.stats, "cross-scheduler resume");
     }
 }
 

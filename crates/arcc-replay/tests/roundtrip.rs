@@ -9,9 +9,10 @@
 //! across checkpoint/resume.
 
 use arcc_fleet::{
-    resume_replay, run_fleet, run_replay, run_replay_until, DimmPopulation, FleetCheckpoint,
-    FleetSpec, FleetStats, OperatorPolicy, SchedulerKind,
+    run_fleet, run_replay, run_until, DimmPopulation, FleetCheckpoint, FleetSpec, FleetStats,
+    OperatorPolicy, SchedulerKind,
 };
+use arcc_obs::NoopRecorder;
 use arcc_replay::{fit_spec, generate_log, FaultLog};
 use proptest::prelude::*;
 
@@ -59,25 +60,28 @@ fn replay_checkpoint_resume_crosses_schedulers() {
     let full = run_replay(2, &spec, &arrivals).expect("replay");
     // Stop after one shard under the bucket scheduler, round-trip the
     // checkpoint through text, resume under the heap scheduler.
-    let half = run_replay_until(
+    let half = run_until(
         2,
         &spec,
-        &arrivals,
+        Some(&arrivals),
         FleetCheckpoint::start_replay(&spec, &arrivals),
         1,
+        &mut NoopRecorder,
     )
     .expect("prefix");
     assert_eq!(half.shards_done, 1);
     let parsed = FleetCheckpoint::from_text(&half.to_text()).expect("checkpoint text");
-    let resumed = resume_replay(
+    let resumed = run_until(
         2,
         &spec.clone().scheduler(SchedulerKind::Heap),
-        &arrivals,
+        Some(&arrivals),
         parsed,
+        spec.shard_count(),
+        &mut NoopRecorder,
     )
     .expect("resume");
     assert!(
-        full.bitwise_eq(&resumed),
+        full.bitwise_eq(&resumed.stats),
         "checkpoint resume across schedulers diverged"
     );
 }

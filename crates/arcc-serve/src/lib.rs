@@ -61,7 +61,7 @@
 //! let cold = twin.handle("whatif policy=replace-on-due", None);
 //! let warm = twin.handle("whatif policy=replace-on-due", None);
 //! assert_eq!(cold, warm); // memoised: byte-identical
-//! assert_eq!(twin.engine().counters().memo_hits, 1);
+//! assert_eq!(twin.engine().metrics().counter("serve.memo.hits"), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,6 +72,5 @@ pub mod twin;
 
 pub use protocol::{render_error, Service, MAX_INGEST_LINES};
 pub use twin::{
-    parse_policy, policy_token, Branch, Counters, IngestSummary, ServeError, TwinEngine,
-    BASELINE_BRANCH,
+    parse_policy, policy_token, Branch, IngestSummary, ServeError, TwinEngine, BASELINE_BRANCH,
 };

@@ -24,7 +24,7 @@
 //! | `whatif policy=<p>` | stats had the fleet run under `p` (forks on demand) |
 //! | `list-scenarios` | the `arcc::exp` scenario registry |
 //! | `run-scenario name=<s>` | run a registry scenario at [`Experiment::quick`] scale |
-//! | `status` | channels, branches, and work [`Counters`](crate::twin::Counters) |
+//! | `status` | channels, branches, and work counters (from [`TwinEngine::metrics`]) |
 //! | `metrics [include=timing] [format=prometheus]` | the engine's metric snapshot (JSON or Prometheus text) |
 //! | `quit` | end the session |
 //!
@@ -373,18 +373,18 @@ impl Service {
                         ));
                     }
                 }
-                let c = self.engine.counters();
+                let m = self.engine.metrics();
                 out.push_str(&format!(
                     "],\"counters\":{{\"ingests\":{},\"forks\":{},\"queries\":{},\
                      \"shards_run\":{},\"memo_hits\":{}}},\"memo_entries\":{},\
                      \"metrics_entries\":{}}}",
-                    c.ingests,
-                    c.forks,
-                    c.queries,
-                    c.shards_run,
-                    c.memo_hits,
+                    m.counter("serve.ingest.segments"),
+                    m.counter("serve.forks"),
+                    m.counter("serve.queries"),
+                    m.counter("serve.shards_run"),
+                    m.counter("serve.memo.hits"),
                     self.memo.len(),
-                    self.engine.metrics().len()
+                    m.len()
                 ));
                 Ok(out)
             }
@@ -675,12 +675,9 @@ mod tests {
         let cold = service.handle("query-stats", None);
         let warm = service.handle("query-stats branch=baseline", None);
         assert_eq!(cold, warm, "default branch is canonicalised into the key");
-        assert_eq!(service.engine().counters().memo_hits, 1);
-        assert_eq!(
-            service.engine().counters().queries,
-            1,
-            "hit skips the engine"
-        );
+        let metrics = service.engine().metrics();
+        assert_eq!(metrics.counter("serve.memo.hits"), 1);
+        assert_eq!(metrics.counter("serve.queries"), 1, "hit skips the engine");
 
         // A mutation invalidates the table; the fresh answer reflects it.
         let (req, payload) = ingest_request(&segments[1]);

@@ -11,7 +11,7 @@
 //! stats query folds the pending partial tail shard on demand — so the
 //! total simulation work of N ingests plus Q queries is N extensions
 //! plus Q tail shards, never a rerun of the shared prefix (pinned by the
-//! [`Counters`]).
+//! `serve.*` work counters of [`TwinEngine::metrics`]).
 //!
 //! With a state directory the engine is durable: segments are appended
 //! as numbered files, branch checkpoints are written atomically
@@ -206,24 +206,6 @@ impl Branch {
     }
 }
 
-/// Work counters, exposed through the protocol's `status` command. The
-/// incremental contract is observable here: ingests advance
-/// `shards_run` by the newly complete shards only, and a what-if over an
-/// existing branch advances it by at most the one pending tail shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Segments ingested.
-    pub ingests: u64,
-    /// Branches forked (explicitly or by a what-if).
-    pub forks: u64,
-    /// Stats queries answered by simulation (memo hits don't count).
-    pub queries: u64,
-    /// Shard simulations executed, in total, across all branches.
-    pub shards_run: u64,
-    /// Responses served byte-identically from the memo table.
-    pub memo_hits: u64,
-}
-
 /// A summary of one ingest, for the protocol response.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestSummary {
@@ -251,13 +233,13 @@ pub struct TwinEngine {
     /// Segment files already on disk; the next ingest persists
     /// `segment-<this>.log`. Restored by [`Self::open`] from the files it
     /// replays, so a reopened engine appends after them instead of
-    /// renumbering from zero (the in-session `Counters::ingests` resets
-    /// across processes and must not drive durable file names).
+    /// renumbering from zero (the in-session `serve.ingest.segments`
+    /// counter resets across processes and must not drive durable file
+    /// names).
     segments_persisted: u64,
     log: Option<FaultLog>,
     arrivals: ReplayArrivals,
     branches: BTreeMap<String, Branch>,
-    counters: Counters,
     /// Deterministic work metrics (`serve.*` plus the `replay.parse.*`
     /// counters of every absorbed segment): a pure function of the
     /// command sequence this process handled, independent of thread
@@ -282,7 +264,6 @@ impl TwinEngine {
             log: None,
             arrivals: empty_arrivals(),
             branches: BTreeMap::new(),
-            counters: Counters::default(),
             obs: SnapshotRecorder::new(),
         }
     }
@@ -386,7 +367,6 @@ impl TwinEngine {
             };
             let before = ckpt.shards_done;
             let ckpt = extend_replay(engine.threads, &spec, &engine.arrivals, ckpt)?;
-            engine.counters.shards_run += ckpt.shards_done - before;
             engine
                 .obs
                 .counter_add("serve.shards_run", ckpt.shards_done - before);
@@ -414,21 +394,21 @@ impl TwinEngine {
         }
     }
 
-    /// The work counters (see [`Counters`]).
-    pub fn counters(&self) -> Counters {
-        self.counters
-    }
-
-    /// The engine's deterministic metric snapshot: `serve.*` work
-    /// counters (mirroring [`Counters`] plus persisted byte counts) and
-    /// the `replay.parse.*` counters of every absorbed segment.
+    /// The engine's deterministic metric snapshot: the `serve.*` work
+    /// counters and the `replay.parse.*` counters of every absorbed
+    /// segment. The incremental contract is observable here: ingests
+    /// advance `serve.shards_run` by the newly complete shards only, and
+    /// a what-if over an existing branch advances it by at most the one
+    /// pending tail shard. The protocol's `status` command reports
+    /// `serve.ingest.segments`, `serve.forks`, `serve.queries` (stats
+    /// queries answered by simulation), `serve.shards_run` and
+    /// `serve.memo.hits` as its work counters.
     pub fn metrics(&self) -> &MetricsSnapshot {
         self.obs.snapshot()
     }
 
     /// Notes a memo-table hit (the protocol layer owns the table).
     pub fn note_memo_hit(&mut self) {
-        self.counters.memo_hits += 1;
         self.obs.counter_add("serve.memo.hits", 1);
     }
 
@@ -478,7 +458,6 @@ impl TwinEngine {
             );
         }
         self.extend_branches()?;
-        self.counters.ingests += 1;
         let summary = IngestSummary {
             segment_channels: self.channels() - before_channels,
             segment_events: self.events() - before_events,
@@ -528,8 +507,6 @@ impl TwinEngine {
         let ckpt = extend_replay(self.threads, &spec, &self.arrivals, ckpt)?;
         self.obs
             .counter_add("serve.shards_run", ckpt.shards_done - before);
-        self.counters.shards_run += ckpt.shards_done - before;
-        self.counters.forks += 1;
         self.obs.counter_add("serve.forks", 1);
         self.branches
             .insert(name.to_string(), Branch { policy, spec, ckpt });
@@ -564,10 +541,8 @@ impl TwinEngine {
                 b.ckpt.shards_done,
                 &self.arrivals,
             ));
-            self.counters.shards_run += 1;
             self.obs.counter_add("serve.shards_run", 1);
         }
-        self.counters.queries += 1;
         self.obs.counter_add("serve.queries", 1);
         Ok(stats)
     }
@@ -654,7 +629,6 @@ impl TwinEngine {
             let ckpt = self.branches[&name].ckpt.clone();
             let before = ckpt.shards_done;
             let ckpt = extend_replay(self.threads, &spec, &self.arrivals, ckpt)?;
-            self.counters.shards_run += ckpt.shards_done - before;
             self.obs
                 .counter_add("serve.shards_run", ckpt.shards_done - before);
             if let Some(b) = self.branches.get_mut(&name) {

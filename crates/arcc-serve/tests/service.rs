@@ -74,10 +74,10 @@ fn incremental_ingest_matches_one_shot_replay_bit_for_bit() {
     // The work ledger shows appends, not reruns: each complete shard was
     // simulated exactly once across all three ingests, plus the one
     // on-demand tail fold for the query.
-    let c = engine.counters();
-    assert_eq!(c.ingests, 3);
-    assert_eq!(c.shards_run, 3 + 1);
-    assert_eq!(c.queries, 1);
+    let m = engine.metrics();
+    assert_eq!(m.counter("serve.ingest.segments"), 3);
+    assert_eq!(m.counter("serve.shards_run"), 3 + 1);
+    assert_eq!(m.counter("serve.queries"), 1);
 }
 
 #[test]
@@ -89,11 +89,9 @@ fn whatif_runs_only_divergent_work_and_memoises_bytes() {
         let reply = service.handle(&request, Some(seg));
         assert!(reply.starts_with("{\"ok\":true"), "{reply}");
     }
-    let before = service.engine().counters();
-    assert_eq!(
-        before.shards_run, 3,
-        "three complete shards folded by ingestion"
-    );
+    let shards_run = |s: &Service| s.engine().metrics().counter("serve.shards_run");
+    let before = shards_run(&service);
+    assert_eq!(before, 3, "three complete shards folded by ingestion");
 
     // Cold what-if: fork pays the divergent prefix (3 shards) plus the
     // tail fold — and nothing more. The shared baseline prefix is not
@@ -103,17 +101,16 @@ fn whatif_runs_only_divergent_work_and_memoises_bytes() {
         cold.starts_with("{\"ok\":true,\"cmd\":\"whatif\""),
         "{cold}"
     );
-    let after_cold = service.engine().counters();
-    assert_eq!(after_cold.forks, 1);
-    assert_eq!(after_cold.shards_run - before.shards_run, 3 + 1);
+    let after_cold = shards_run(&service);
+    assert_eq!(service.engine().metrics().counter("serve.forks"), 1);
+    assert_eq!(after_cold - before, 3 + 1);
 
     // Re-issue: answered from the memo table byte-identically, with no
     // simulation at all.
     let warm = service.handle("whatif policy=replace-on-due", None);
     assert_eq!(cold, warm, "cached response must be byte-identical");
-    let after_warm = service.engine().counters();
-    assert_eq!(after_warm.shards_run, after_cold.shards_run);
-    assert_eq!(after_warm.memo_hits, 1);
+    assert_eq!(shards_run(&service), after_cold);
+    assert_eq!(service.engine().metrics().counter("serve.memo.hits"), 1);
 
     // The counterfactual answer itself is the from-zero truth.
     let mut engine = TwinEngine::new(2, SEED).shard_channels(SHARD);
