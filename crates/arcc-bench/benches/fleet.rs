@@ -1,17 +1,9 @@
-//! Criterion benchmarks for the `arcc-fleet` event engine, plus the
-//! `BENCH_fleet.json` throughput record.
-//!
-//! The criterion groups time one shard (under both schedulers) and a
-//! small sharded fleet; after they run, a custom `main` measures
-//! end-to-end channels/second at 10k, 100k, 1M, and 10M channels and
-//! writes `BENCH_fleet.json` (path overridable via `ARCC_BENCH_OUT`) so
-//! the perf trajectory of the engine is recorded from its first PR. The
-//! 1M rung is this PR's acceptance artefact: the bucket scheduler must
-//! hold ≥2x the PR 3 heap engine's ~8M channels/sec.
+//! Criterion benchmarks for the `arcc-fleet` event engine: one shard
+//! under both schedulers and a small sharded fleet. The channels/sec
+//! ladder gated in CI is `bench record|gate fleet`.
 
-use arcc_bench::{bench_record_json, best_of};
 use arcc_fleet::{run_fleet, run_shard, FleetSpec, SchedulerKind};
-use criterion::{black_box, criterion_group, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_shard(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_shard");
@@ -37,44 +29,4 @@ fn bench_fleet(c: &mut Criterion) {
 
 criterion_group!(benches, bench_shard, bench_fleet);
 
-/// Measures one fleet run end to end, returning (seconds, channels/sec).
-/// Best-of-three: the committed record is a baseline for the CI
-/// regression gate, so scheduler noise must not understate it.
-fn measure(channels: u64) -> (f64, f64) {
-    let threads = arcc_core::default_threads();
-    let spec = FleetSpec::baseline(channels);
-    let (best, stats) = best_of(3, || run_fleet(threads, &spec));
-    assert_eq!(stats.channels, channels);
-    (best, channels as f64 / best)
-}
-
-fn main() {
-    benches();
-
-    // `cargo bench` passes `--bench`; anything else (notably `cargo test`,
-    // which runs harness = false bench targets as smoke tests) gets a tiny
-    // ladder and no throughput record.
-    if !std::env::args().any(|a| a == "--bench") {
-        let (secs, _) = measure(1_000);
-        println!("fleet smoke: 1000 channels in {secs:.3}s");
-        return;
-    }
-
-    let sizes = [10_000u64, 100_000u64, 1_000_000u64, 10_000_000u64];
-    let mut rungs = Vec::new();
-    for &channels in &sizes {
-        let (secs, rate) = measure(channels);
-        println!("fleet throughput: {channels} channels in {secs:.3}s ({rate:.0} channels/sec)");
-        rungs.push((channels, secs, rate));
-    }
-    let json = bench_record_json("fleet", arcc_core::default_threads(), &rungs);
-    // Benches run with the package as CWD; anchor the record at the
-    // workspace root where the trajectory tooling looks for it.
-    let path = std::env::var("ARCC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json").to_string()
-    });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("fleet throughput record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
+criterion_main!(benches);

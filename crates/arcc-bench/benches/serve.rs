@@ -1,19 +1,12 @@
-//! Criterion benchmarks for the digital-twin service, plus the
-//! `BENCH_serve.json` ingestion-throughput record.
-//!
-//! The criterion groups time one segment ingest (the incremental parse +
-//! extend path) and the two what-if flavours (warm branch re-query vs
-//! memoised protocol re-issue); after they run, a custom `main` measures
-//! end-to-end segment-wise ingestion channels/second at 20k, 100k, and
-//! 400k channels and writes `BENCH_serve.json` (path overridable via
-//! `ARCC_BENCH_OUT`) so service ingestion is gated in CI exactly like
-//! replay throughput.
+//! Criterion benchmarks for the digital-twin service: one segment
+//! ingest (the incremental parse + extend path) and the two what-if
+//! flavours (warm branch re-query vs memoised protocol re-issue). The
+//! ingestion ladder gated in CI is `bench record|gate serve`.
 
-use arcc_bench::{bench_record_json, best_of};
 use arcc_fleet::FleetSpec;
 use arcc_replay::generate_log;
 use arcc_serve::{Service, TwinEngine};
-use criterion::{black_box, criterion_group, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 /// The serve benches pin the engine seed (results are not timed work).
 const SEED: u64 = 0x5E21;
@@ -69,44 +62,4 @@ fn bench_whatif(c: &mut Criterion) {
 
 criterion_group!(benches, bench_ingest, bench_whatif);
 
-/// Measures segment-wise ingestion end to end, returning
-/// (seconds, channels/sec). Best-of-three: the committed record is the
-/// CI gate baseline, so scheduler noise must not understate it.
-fn measure(channels: u64) -> (f64, f64) {
-    let threads = arcc_core::default_threads();
-    let segments = segments_for(channels, 8);
-    let (best, service) = best_of(3, || ingest_all(threads, &segments));
-    assert_eq!(service.engine().channels(), channels);
-    (best, channels as f64 / best)
-}
-
-fn main() {
-    benches();
-
-    // `cargo bench` passes `--bench`; anything else (notably `cargo test`,
-    // which runs harness = false bench targets as smoke tests) gets a tiny
-    // rung and no throughput record.
-    if !std::env::args().any(|a| a == "--bench") {
-        let (secs, _) = measure(1_000);
-        println!("serve smoke: 1000 channels in {secs:.3}s");
-        return;
-    }
-
-    let sizes = [20_000u64, 100_000u64, 400_000u64];
-    let mut rungs = Vec::new();
-    for &channels in &sizes {
-        let (secs, rate) = measure(channels);
-        println!("serve ingestion: {channels} channels in {secs:.3}s ({rate:.0} channels/sec)");
-        rungs.push((channels, secs, rate));
-    }
-    let json = bench_record_json("serve", arcc_core::default_threads(), &rungs);
-    // Benches run with the package as CWD; anchor the record at the
-    // workspace root where the trajectory tooling looks for it.
-    let path = std::env::var("ARCC_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json").to_string()
-    });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("serve ingestion record written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
+criterion_main!(benches);
