@@ -2,11 +2,11 @@
 //! workspace.
 //!
 //! The fleet engine's headline results rest on a determinism contract —
-//! parallel sweeps byte-identical to sequential runs, heap and calendar
-//! schedulers bit-exact, replay round trips lossless. The proptests
-//! enforce that contract dynamically; this tool enforces it at the source
-//! level, so a stray `HashMap` iteration or wall-clock read is caught in
-//! CI before it can make a run irreproducible. Eight checks:
+//! parallel sweeps byte-identical to sequential runs, the calendar event
+//! queue popping in a binary heap's order, replay round trips lossless.
+//! The proptests enforce that contract dynamically; this tool enforces it
+//! at the source level, so a stray `HashMap` iteration or wall-clock read
+//! is caught in CI before it can make a run irreproducible. Eight checks:
 //!
 //! 1. **Determinism lints** — ban `HashMap`/`HashSet`, `Instant::now`,
 //!    `SystemTime`, `thread_rng`, and environment reads in library code of

@@ -1,19 +1,17 @@
 //! Criterion benchmarks for the `arcc-fleet` event engine: one shard
-//! under both schedulers and a small sharded fleet. The channels/sec
+//! and a small sharded fleet. The channels/sec
 //! ladder gated in CI is `bench record|gate fleet`.
 
-use arcc_fleet::{run_fleet, run_shard, FleetSpec, SchedulerKind};
+use arcc_fleet::{run_fleet, run_shard, FleetSpec};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_shard(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_shard");
     g.throughput(Throughput::Elements(4096));
-    for sched in [SchedulerKind::Bucket, SchedulerKind::Heap] {
-        let spec = FleetSpec::baseline(4096).scheduler(sched);
-        g.bench_function(format!("one_shard_4096_channels_{}", sched.name()), |b| {
-            b.iter(|| run_shard(black_box(&spec), 0))
-        });
-    }
+    let spec = FleetSpec::baseline(4096);
+    g.bench_function("one_shard_4096_channels", |b| {
+        b.iter(|| run_shard(black_box(&spec), 0))
+    });
     g.finish();
 }
 

@@ -5,9 +5,8 @@
 //! which loops the in-process scenario registry in [`arcc_exp`]
 //! (`arcc::exp`) via [`arcc_exp::repro_all_main`], writing JSON reports
 //! under `target/repro/`; `repro_all <name>` runs a single artefact
-//! (e.g. `repro_all fig7_6`).
-//! Its knobs are typed on [`arcc_exp::Experiment`], with the deprecated
-//! `ARCC_*` environment fallback of [`arcc_exp::Experiment::from_env`].
+//! (e.g. `repro_all fig7_6`) at the paper-scale defaults of
+//! [`arcc_exp::Experiment::new`].
 //!
 //! The throughput ladders (`codec`, `fleet`, `replay`, `serve`) are
 //! driven by the `bench` binary through [`bench_main`]: `bench record

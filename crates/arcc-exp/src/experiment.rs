@@ -51,8 +51,7 @@ pub const DEFAULT_FRACTION_GRID: &[f64] = &[0.0, 1.0 / 32.0, 1.0 / 16.0, 0.5, 1.
 /// ```
 ///
 /// All builder methods consume and return `self`, so configurations are
-/// single expressions. [`Experiment::from_env`] is the deprecated
-/// fallback honouring the legacy `ARCC_*` environment variables.
+/// single expressions.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     trace_requests: usize,
@@ -101,42 +100,6 @@ impl Experiment {
             .mc_channels(1_000)
             .mc_machines(5_000)
             .escape_trials(5_000)
-    }
-
-    /// Deprecated fallback: defaults overridden by the legacy `ARCC_*`
-    /// environment variables (`ARCC_TRACE_REQUESTS`, `ARCC_MC_CHANNELS`,
-    /// `ARCC_MC_MACHINES`, plus `ARCC_THREADS` and `ARCC_MIXES`).
-    ///
-    /// New code should state its knobs with the typed builder; this exists
-    /// so existing CI configurations and shell habits keep working.
-    pub fn from_env() -> Self {
-        fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-            std::env::var(var).ok().and_then(|v| v.parse().ok())
-        }
-        let mut exp = Self::new();
-        if let Some(n) = parse::<usize>("ARCC_TRACE_REQUESTS") {
-            exp = exp.trace_requests(n);
-        }
-        if let Some(n) = parse::<u32>("ARCC_MC_CHANNELS") {
-            exp = exp.mc_channels(n);
-        }
-        if let Some(n) = parse::<u32>("ARCC_MC_MACHINES") {
-            exp = exp.mc_machines(n);
-        }
-        if let Some(n) = parse::<usize>("ARCC_THREADS") {
-            exp = exp.threads(n);
-        }
-        if let Ok(mixes) = std::env::var("ARCC_MIXES") {
-            let names: Vec<String> = mixes
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if !names.is_empty() {
-                exp = exp.mixes(names);
-            }
-        }
-        exp
     }
 
     /// Sets the requests per trace simulation.

@@ -8,9 +8,7 @@
 //!
 //! * [`Experiment`] — a builder carrying every knob (trace length and
 //!   seed, Monte-Carlo channels/machines, mix filter, scheme selection,
-//!   upgraded-fraction grid, worker count). The legacy `ARCC_*`
-//!   environment variables survive as the deprecated
-//!   [`Experiment::from_env`] fallback.
+//!   upgraded-fraction grid, worker count).
 //! * [`Scenario`] + [`registry`] — the ~13 named paper artefacts
 //!   (`fig_layouts`, `table7_1`, `table7_4`, `fig3_1`, `motivation`,
 //!   `fig6_1`, `fig7_1`–`fig7_6`, `escape_rates`) plus the fleet-scale

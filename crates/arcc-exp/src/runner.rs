@@ -144,7 +144,7 @@ pub fn repro_all_main_with(clock: &dyn Clock) -> i32 {
     let mut only: Vec<String> = std::env::args().skip(1).collect();
     let profile = only.iter().any(|a| a == "--profile");
     only.retain(|a| a != "--profile");
-    let exp = Experiment::from_env();
+    let exp = Experiment::new();
     let dir = default_report_dir();
     match run_selected_profiled(&exp, &dir, &only, clock) {
         Ok(timed) => {

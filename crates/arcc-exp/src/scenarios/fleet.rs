@@ -246,45 +246,3 @@ impl Scenario for FleetRepairPolicies {
         report
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use arcc_fleet::SchedulerKind;
-
-    /// Every spec the registered fleet scenarios run, at a CI-quick
-    /// channel count.
-    fn scenario_specs() -> Vec<(String, FleetSpec)> {
-        let exp = Experiment::new().mc_channels(1500).mc_seed(0xAB7);
-        let mut specs = vec![
-            ("fleet_baseline".to_string(), baseline_spec(&exp)),
-            (
-                "fleet_mixed_population".to_string(),
-                mixed_population_spec(&exp),
-            ),
-        ];
-        for spec in repair_policy_specs(&exp) {
-            specs.push((
-                format!("fleet_repair_policies/{}", spec.policy.name()),
-                spec,
-            ));
-        }
-        specs
-    }
-
-    /// The ISSUE's acceptance pin: on every registered fleet scenario's
-    /// spec, the heap and bucket schedulers produce byte-identical
-    /// `FleetStats`.
-    #[test]
-    fn all_fleet_scenarios_agree_across_schedulers() {
-        for (name, spec) in scenario_specs() {
-            let heap = run_fleet(2, &spec.clone().scheduler(SchedulerKind::Heap));
-            let bucket = run_fleet(2, &spec.clone().scheduler(SchedulerKind::Bucket));
-            assert!(
-                heap.bitwise_eq(&bucket),
-                "{name}: schedulers diverged\nheap:   {heap:?}\nbucket: {bucket:?}"
-            );
-            assert!(heap.channels > 0);
-        }
-    }
-}

@@ -1,8 +1,8 @@
 //! The per-shard discrete-event engine.
 //!
 //! One [`ShardEngine`] owns a slice of the fleet's channels and a single
-//! time-ordered event queue (heap or calendar/bucket — see
-//! [`crate::spec::SchedulerKind`]). Three event kinds drive a channel
+//! time-ordered event queue, a calendar keyed on scrub epochs (see the
+//! `sched` module). Three event kinds drive a channel
 //! through its service life:
 //!
 //! * **fault arrivals** — drawn lazily, one exponential gap at a time
@@ -36,8 +36,8 @@
 //! (`cell_seed(shard_seed, channel_index)`), so results are independent
 //! of event interleaving across channels; ties in time are broken by a
 //! monotone sequence number, making the replay itself deterministic too.
-//! Both schedulers fire events in identical `(time, seq)` order, so the
-//! scheduler knob never changes a single output bit.
+//! In unit tests the queue checks every pop against a binary-heap oracle
+//! of that `(time, seq)` order.
 //!
 //! Arrivals come from one of two [`sources`](crate::source): the default
 //! synthetic lazy-exponential draws described above, or a
@@ -59,9 +59,9 @@ use arcc_reliability::{active_at, arrival_is_sdc, detection_time, SchemeCapabili
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::sched::{EventKind, EventQueue, QueuedEvent};
+use crate::sched::{BucketQueue, EventKind, QueuedEvent};
 use crate::source::ReplayArrivals;
-use crate::spec::{FleetSpec, OperatorPolicy, SchedulerKind};
+use crate::spec::{FleetSpec, OperatorPolicy};
 use crate::stats::FleetStats;
 
 /// Deterministic per-shard engine telemetry: plain event counts the
@@ -182,7 +182,7 @@ pub struct ShardEngine<'a> {
     /// Sparse channel states: only channels with at least one in-horizon
     /// event own a slot; queued events address slots directly.
     states: Vec<ChannelState>,
-    queue: EventQueue,
+    queue: BucketQueue,
     seq: u64,
     spares_left: u32,
     /// High-water mark of any channel's active-fault list (compaction
@@ -255,12 +255,7 @@ impl<'a> ShardEngine<'a> {
             None => max_rate * horizon_h * shard_channels as f64,
         };
         let events_hint = (per_fault_events * expected_faults).ceil() as usize;
-        let queue = match spec.scheduler {
-            SchedulerKind::Heap => EventQueue::heap(),
-            SchedulerKind::Bucket => {
-                EventQueue::bucket(horizon_h, spec.bucket_width_hours(), events_hint)
-            }
-        };
+        let queue = BucketQueue::new(horizon_h, bucket_width(spec), events_hint);
         let mut engine = Self {
             horizon_h,
             policy: spec.policy,
@@ -698,6 +693,17 @@ impl<'a> ShardEngine<'a> {
     }
 }
 
+/// The calendar bucket width: the smallest scrub interval in the
+/// population mix, clamped to the horizon — one bucket per scrub epoch,
+/// so a scrub tick's detection batch heads its bucket.
+fn bucket_width(spec: &FleetSpec) -> f64 {
+    spec.populations
+        .iter()
+        .map(|p| p.scrub_interval_h)
+        .fold(f64::INFINITY, f64::min)
+        .min(spec.horizon_hours())
+}
+
 /// Adds `delta * (hours of year y within [from_h, horizon_h))` to each
 /// entry of `acc` — the shared kernel of the upgraded-mass and
 /// service-hour epoch histograms. Epochs fully before `from_h`
@@ -735,21 +741,14 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_bucket_schedulers_agree_bit_for_bit() {
-        for mult in [4.0, 30.0] {
-            let spec =
-                quick_spec(800, mult).policy(OperatorPolicy::SparePool { spares_per_10k: 20 });
-            let heap = ShardEngine::new(&spec.clone().scheduler(SchedulerKind::Heap), 0)
-                .run()
-                .0;
-            let bucket = ShardEngine::new(&spec.scheduler(SchedulerKind::Bucket), 0)
-                .run()
-                .0;
-            assert!(
-                heap.bitwise_eq(&bucket),
-                "{mult}x: schedulers diverged: {heap:?} vs {bucket:?}"
-            );
-        }
+    fn bucket_width_defaults_to_smallest_scrub_interval() {
+        let spec = FleetSpec::baseline(100).populations(vec![
+            DimmPopulation::paper("slow").scrub_interval_h(12.0),
+            DimmPopulation::paper("fast").scrub_interval_h(2.0),
+        ]);
+        assert_eq!(bucket_width(&spec), 2.0);
+        let short = spec.years(1e-4);
+        assert_eq!(bucket_width(&short), short.horizon_hours());
     }
 
     #[test]

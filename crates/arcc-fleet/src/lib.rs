@@ -19,14 +19,14 @@
 //!   upgrade pages at exactly the `arcc-reliability` scrub ticks, and
 //!   policy replacements are granted in detection order — **O(1) memory
 //!   per in-flight channel**, no fault vectors;
-//! * the default scheduler is a **calendar/bucket queue keyed on scrub
-//!   epochs** ([`SchedulerKind::Bucket`]): channels whose first
-//!   lazily-drawn arrival falls past the horizon — at field rates, the
-//!   overwhelming majority — are dispatched with one uniform draw
-//!   against a precomputed `1 - exp(-rate·H)` threshold and never touch
-//!   the queue, state table, or a logarithm; the heap scheduler remains
-//!   as the reference, and both produce **byte-identical** results
-//!   (pinned by `tests/sched_ab.rs`), so checkpoints cross schedulers;
+//! * the event queue is a **calendar/bucket queue keyed on scrub
+//!   epochs**: channels whose first lazily-drawn arrival falls past the
+//!   horizon — at field rates, the overwhelming majority — are
+//!   dispatched with one uniform draw against a precomputed
+//!   `1 - exp(-rate·H)` threshold and never touch the queue, state
+//!   table, or a logarithm. A binary heap survives only as a test-only
+//!   oracle inside the queue: in unit tests every pop is checked
+//!   against it, so every engine run there is an A/B against the heap;
 //! * the sharded runner ([`run_fleet`]) executes shards on the
 //!   workspace's deterministic `parallel_map`/`cell_seed` contract and
 //!   folds fixed-size [`FleetStats`] aggregates through an associative
@@ -41,7 +41,7 @@
 //! * arrivals are **dual-source** ([`source`]): the synthetic lazy draws
 //!   above, or a [`ReplayArrivals`] set of *observed* arrivals
 //!   ([`run_replay`], fed by the `arcc-replay` crate's fault-log
-//!   parser) replayed through the same scheduler/stats/checkpoint
+//!   parser) replayed through the same queue/stats/checkpoint
 //!   machinery while detection, upgrade, and policy stay simulated — a
 //!   log generated from a spec replays **bit-identically** under
 //!   no-repair;
@@ -91,8 +91,5 @@ pub use runner::{
     run_until,
 };
 pub use source::{ReplayArrivals, ReplayError};
-pub use spec::{
-    DimmPopulation, FleetSpec, OperatorPolicy, SchedulerKind, DEFAULT_SCHEME,
-    DEFAULT_SHARD_CHANNELS,
-};
+pub use spec::{DimmPopulation, FleetSpec, OperatorPolicy, DEFAULT_SCHEME, DEFAULT_SHARD_CHANNELS};
 pub use stats::{FleetStats, PopulationStats, MODE_COUNT};

@@ -1,7 +1,7 @@
 //! Arrival sources: where a shard's fault arrivals come from.
 //!
 //! The engine supports two interchangeable sources behind the same
-//! scheduler, stats, and checkpoint machinery:
+//! event queue, stats, and checkpoint machinery:
 //!
 //! * **synthetic** — the default: arrivals are drawn lazily, one
 //!   exponential gap at a time, from each channel's own RNG stream (the
@@ -345,8 +345,7 @@ impl ReplayArrivals {
 
     /// The fingerprint a replay run's checkpoints carry: the spec
     /// fingerprint and the arrival-set fingerprint mixed, so resuming
-    /// demands *both* match. Like [`FleetSpec::fingerprint`] it ignores
-    /// the scheduler knobs — replay checkpoints cross schedulers too.
+    /// demands *both* match.
     pub fn run_fingerprint(&self, spec: &FleetSpec) -> u64 {
         splitmix64(spec.fingerprint() ^ self.fingerprint())
     }

@@ -8,7 +8,7 @@
 use arcc_fleet::engine::ShardEngine;
 use arcc_fleet::{
     run_fleet, run_fleet_observed, run_replay, run_until, DimmPopulation, FleetCheckpoint,
-    FleetSpec, OperatorPolicy, ReplayArrivals, SchedulerKind,
+    FleetSpec, OperatorPolicy, ReplayArrivals,
 };
 use arcc_obs::{MetricsSnapshot, Recorder, SnapshotRecorder};
 use proptest::prelude::*;
@@ -61,12 +61,8 @@ proptest! {
         seed in any::<u64>(),
         mult in 0.0f64..30.0,
         policy in policy(),
-        bucket in any::<bool>(),
     ) {
-        let mut spec = spec_for(channels, shard_channels, seed, mult, policy);
-        if bucket {
-            spec = spec.scheduler(SchedulerKind::Bucket);
-        }
+        let spec = spec_for(channels, shard_channels, seed, mult, policy);
         let (seq_stats, seq_snap) = run_fleet_observed(1, &spec);
         let (par_stats, par_snap) = run_fleet_observed(8, &spec);
         prop_assert!(seq_stats.bitwise_eq(&par_stats));
